@@ -16,6 +16,7 @@
 //
 // --metrics additionally writes the snapshot alone to its own file;
 // --trace streams Chrome-trace JSONL spans (see docs/OBSERVABILITY.md).
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -202,31 +203,39 @@ int main(int argc, char** argv) {
     }
     workspace.set_force_fallback(false);
 
-    // Best-of-3 timing windows: a scheduler hiccup inflates one window, not
-    // the minimum, so the speedup gate stays stable on loaded machines.
-    constexpr int kFastPasses = 1200;
-    constexpr int kFallbackPasses = 200;
-    constexpr int kReps = 3;
-    const auto timed_passes = [&](int passes) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < kReps; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        for (int pass = 0; pass < passes; ++pass) {
-          for (const MiddleAssignment& middles : cycle) {
-            (void)workspace.max_min_rates(middles);
-          }
+    // Paired timing windows, alternated fast/fallback (ABAB...): a stretch of
+    // contention slows the pair it lands in, both halves alike, so the
+    // median of the per-pair ratios stays stable on a loaded machine.
+    // 5 x 720 fast and 5 x 120 fallback passes: the call totals the
+    // committed BENCH_search.json counters hold.
+    constexpr int kFastPasses = 720;
+    constexpr int kFallbackPasses = 120;
+    constexpr int kPairs = 5;
+    const auto calls_per_sec = [&](bool fallback, int passes) {
+      workspace.set_force_fallback(fallback);
+      const auto start = std::chrono::steady_clock::now();
+      for (int pass = 0; pass < passes; ++pass) {
+        for (const MiddleAssignment& middles : cycle) {
+          (void)workspace.max_min_rates(middles);
         }
-        best = std::min(best, seconds_since(start));
       }
-      return best;
+      return passes * 64 / seconds_since(start);
     };
-    const double fast_secs = timed_passes(kFastPasses);
-    workspace.set_force_fallback(true);
-    const double fallback_secs = timed_passes(kFallbackPasses);
-
-    const double fast_cps = kFastPasses * 64 / fast_secs;
-    const double fallback_cps = kFallbackPasses * 64 / fallback_secs;
-    wf_speedup = fallback_cps > 0 ? fast_cps / fallback_cps : 0.0;
+    std::vector<double> fast_rates_cps;
+    std::vector<double> fallback_rates_cps;
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      fast_rates_cps.push_back(calls_per_sec(false, kFastPasses));
+      fallback_rates_cps.push_back(calls_per_sec(true, kFallbackPasses));
+      ratios.push_back(fast_rates_cps.back() / fallback_rates_cps.back());
+    }
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const double fast_cps = median(fast_rates_cps);
+    const double fallback_cps = median(fallback_rates_cps);
+    wf_speedup = median(ratios);
     wf_tput.set("fast_calls_per_sec", Json::number(fast_cps));
     wf_tput.set("fallback_calls_per_sec", Json::number(fallback_cps));
     wf_tput.set("speedup", Json::number(wf_speedup));

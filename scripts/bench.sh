@@ -16,8 +16,8 @@
 # and the admin scraper sends a fixed number of verbs. The waterfill.fast_calls /
 # waterfill.fallback_calls split is held exactly: any drift in either
 # direction fails, and the two must always sum to waterfill.calls. The
-# svc.delta_hits / svc.delta_warm_starts outcomes of bench/service's scripted
-# delta stream are held exactly the same way.
+# svc.delta_hits / svc.delta_result_reuses outcomes of bench/service's
+# scripted delta stream are held exactly the same way.
 # Wall-clock seconds and span durations are reported but never gating —
 # this machine is shared.
 #
@@ -80,10 +80,10 @@ DETERMINISTIC_NAMES = {
 #    instance alone, so drift means the int64 engine silently changed which
 #    calls it accepts — a determinism break, not an improvement;
 #  - the delta outcome counters are fixed by bench/service's delta request
-#    stream (every hit and every warm start is scripted), so drift means
-#    the delta resolution or warm-start path changed behavior.
+#    stream (every hit and every objective-switch reuse is scripted), so
+#    drift means delta resolution or the reuse rule changed behavior.
 EXACT_NAMES = {"waterfill.fast_calls", "waterfill.fallback_calls",
-               "svc.delta_hits", "svc.delta_warm_starts"}
+               "svc.delta_hits", "svc.delta_result_reuses"}
 
 def deterministic(name):
     return name in DETERMINISTIC_NAMES or name.startswith(DETERMINISTIC_PREFIXES)

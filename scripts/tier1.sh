@@ -8,7 +8,7 @@
 # diff the data responses against the batch-mode golden, SIGTERM-drain), a
 # delta smoke (replay the golden base+delta request file through batch mode
 # AND the wire server, diff both against the one committed response golden —
-# warm-started delta evaluation must be byte-identical on every path), a
+# delta evaluation must be byte-identical on every path), a
 # Release water-fill perf smoke gated against the committed
 # bench/waterfill_floor.json, the search engine's serial-vs-parallel
 # equivalence tests plus the water-fill fast-path differential suite under

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "fault/fault.hpp"
+
 namespace closfair {
 namespace {
 
@@ -23,6 +25,19 @@ class Search {
         down_residual_[down_index(m, i)] = net.topology().link(net.downlink(m, i)).capacity;
       }
     }
+    // Candidate middles: the surviving pool (dead middles carry nothing),
+    // or every label when none survive, cut to `restrict_middles` labels.
+    // The canon opens pool entries in order, which is exhaustive only when
+    // the survivors are capacity-interchangeable — decided once, here.
+    pool_ = fault::surviving_middles(net);
+    if (pool_.empty()) {
+      pool_.resize(static_cast<std::size_t>(n));
+      std::iota(pool_.begin(), pool_.end(), 1);
+    }
+    if (options.restrict_middles > 0) {
+      std::erase_if(pool_, [&](int m) { return m > options.restrict_middles; });
+    }
+    canonical_ = options.break_symmetry && fault::surviving_middles_symmetric(net);
     order_.resize(flows.size());
     std::iota(order_.begin(), order_.end(), FlowIndex{0});
     std::stable_sort(order_.begin(), order_.end(),
@@ -38,7 +53,7 @@ class Search {
       result.nodes_explored = nodes_;
       return result;
     }
-    result.feasible = place(0, 1);
+    result.feasible = place(0, 0);
     result.nodes_explored = nodes_;
     if (result.feasible) result.routing = assignment_;
     return result;
@@ -68,9 +83,9 @@ class Search {
     return true;
   }
 
-  // Place flows order_[depth..]; `next_fresh` is the lowest middle index not
-  // yet used by any placed flow (symmetry canon: middles open in order).
-  bool place(std::size_t depth, int next_fresh) {
+  // Place flows order_[depth..]; `opened` counts the pool entries some
+  // placed flow already uses (symmetry canon: pool entries open in order).
+  bool place(std::size_t depth, std::size_t opened) {
     if (depth == order_.size()) return true;
     if (++nodes_ > options_.max_nodes) {
       throw ContractViolation("replication search exceeded max_nodes");
@@ -80,19 +95,16 @@ class Search {
     const auto s = net_.source_coord(flows_[f].src);
     const auto t = net_.dest_coord(flows_[f].dst);
 
-    const int middles = options_.restrict_middles > 0
-                            ? std::min(options_.restrict_middles, net_.num_middles())
-                            : net_.num_middles();
-    const int limit = options_.break_symmetry ? std::min(next_fresh, middles) : middles;
-    for (int m = 1; m <= limit; ++m) {
+    const std::size_t limit = canonical_ ? std::min(opened + 1, pool_.size()) : pool_.size();
+    for (std::size_t k = 0; k < limit; ++k) {
+      const int m = pool_[k];
       Rational& up = up_residual_[up_index(s.tor, m)];
       Rational& down = down_residual_[down_index(m, t.tor)];
       if (up < rate || down < rate) continue;
       up -= rate;
       down -= rate;
       assignment_[f] = m;
-      const int fresh = options_.break_symmetry ? std::max(next_fresh, m + 1) : next_fresh;
-      if (place(depth + 1, fresh)) return true;
+      if (place(depth + 1, std::max(opened, k + 1))) return true;
       up += rate;
       down += rate;
     }
@@ -103,6 +115,8 @@ class Search {
   const FlowSet& flows_;
   const std::vector<Rational>& rates_;
   const ReplicationOptions& options_;
+  std::vector<int> pool_;
+  bool canonical_ = false;
   std::vector<Rational> up_residual_;
   std::vector<Rational> down_residual_;
   std::vector<FlowIndex> order_;

@@ -25,9 +25,11 @@ struct ReplicationOptions {
   /// Abort (throw ContractViolation) after this many backtracking nodes.
   std::uint64_t max_nodes = 200'000'000;
 
-  /// Canonical symmetry breaking: a flow may only open middle switch m+1
-  /// after some earlier flow uses middle m. Sound because middles are
-  /// interchangeable; prunes factorially many equivalent assignments.
+  /// Canonical symmetry breaking: a flow may only open the next surviving
+  /// middle after some earlier flow uses the one before it. Prunes
+  /// factorially many equivalent assignments; applied only when
+  /// fault::surviving_middles_symmetric says the survivors are
+  /// interchangeable, and ignored otherwise. Dead middles are never tried.
   bool break_symmetry = true;
 
   /// Use only middles 1..restrict_middles (0 = all of them). The multirate

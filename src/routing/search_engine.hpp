@@ -222,7 +222,7 @@ class SearchEngine {
   std::vector<Prefix> prefixes_;
   /// covered_per_class_[k]: routings a canonical class with k distinct
   /// middles accounts for — orbit_size(|pool|, k), divided by |pool| when
-  /// fix_first_flow pins the reported space.
+  /// fix_first_flow restricts the reported space.
   std::vector<std::uint64_t> covered_per_class_;
 };
 

@@ -47,26 +47,15 @@ bool ResultCache::insert_locked(const std::string& canonical,
                                 const ScenarioResult& result) {
   const auto it = index_.find(canonical);
   if (it != index_.end()) {
-    // Same key ⇒ byte-identical result (the determinism contract), so the
-    // refresh is semantically a no-op; skip the assignment while pinned —
-    // pin holders read the result object without the lock.
-    if (it->second->pins == 0) it->second->result = result;
+    it->second->result = result;
     entries_.splice(entries_.begin(), entries_, it->second);
     return false;
   }
   if (entries_.size() >= capacity_) {
-    // Evict the least-recently-used unpinned entry; when every entry is
-    // pinned, run over capacity rather than invalidate a live reader.
-    for (auto victim = std::prev(entries_.end());; --victim) {
-      if (victim->pins == 0) {
-        erase_locked(victim);
-        OBS_COUNTER_INC("svc.cache_evictions");
-        break;
-      }
-      if (victim == entries_.begin()) break;
-    }
+    erase_locked(std::prev(entries_.end()));
+    OBS_COUNTER_INC("svc.cache_evictions");
   }
-  entries_.push_front(Entry{canonical, result, 0});
+  entries_.push_front(Entry{canonical, result});
   index_.emplace(canonical, entries_.begin());
   by_hash_[fnv1a64(canonical)] = entries_.begin();
   return true;
@@ -84,28 +73,7 @@ std::optional<ResultCache::BasePin> ResultCache::pin_base(std::uint64_t hash) {
   const auto it = by_hash_.find(hash);
   if (it == by_hash_.end()) return std::nullopt;
   entries_.splice(entries_.begin(), entries_, it->second);
-  ++it->second->pins;
-  return BasePin{this, it->second};
-}
-
-void ResultCache::unpin(std::list<Entry>::iterator it) {
-  std::lock_guard<std::mutex> lock(mu_);
-  CF_CHECK_MSG(it->pins > 0, "BasePin released an entry that was not pinned");
-  --it->pins;
-}
-
-ResultCache::BasePin& ResultCache::BasePin::operator=(BasePin&& other) noexcept {
-  if (this != &other) {
-    if (cache_ != nullptr) cache_->unpin(it_);
-    cache_ = other.cache_;
-    it_ = other.it_;
-    other.cache_ = nullptr;
-  }
-  return *this;
-}
-
-ResultCache::BasePin::~BasePin() {
-  if (cache_ != nullptr) cache_->unpin(it_);
+  return BasePin{*it->second};
 }
 
 std::size_t ResultCache::size() const {
@@ -115,13 +83,9 @@ std::size_t ResultCache::size() const {
 
 void ResultCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->pins == 0) {
-      erase_locked(it++);
-    } else {
-      ++it;
-    }
-  }
+  entries_.clear();
+  index_.clear();
+  by_hash_.clear();
 }
 
 void ResultCache::save(std::ostream& out) const {

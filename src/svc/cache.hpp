@@ -6,8 +6,7 @@
 // stable scenario address. A secondary index maps that content hash back to
 // its entry so delta requests ({"base":"<hash>"}) can resolve the base spec
 // without holding the canonical bytes. Eviction is LRU over a fixed entry
-// capacity; entries pinned by an outstanding BasePin are exempt (delta
-// resolution pins its base for the duration of the warm evaluation).
+// capacity.
 // Entries spill to JSONL — one {"hash","spec","result"} object per line,
 // least-recent first so a reload replays insertions in recency order — and
 // reload validates each line by re-canonicalizing the spec, so a stale or
@@ -36,7 +35,6 @@ class ResultCache {
   struct Entry {
     std::string spec;  ///< canonical bytes (the key)
     ScenarioResult result;
-    int pins = 0;  ///< outstanding BasePins; > 0 exempts from eviction
   };
 
  public:
@@ -47,49 +45,37 @@ class ResultCache {
   /// recency; nullopt on miss. Bumps svc.cache_hits / svc.cache_misses.
   [[nodiscard]] std::optional<ScenarioResult> lookup(const std::string& canonical);
 
-  /// Insert or refresh. Evicts the least-recently-used *unpinned* entry when
-  /// full (bumps svc.cache_evictions; when every entry is pinned the cache
-  /// temporarily exceeds capacity instead). `canonical` must be canonical
-  /// spec bytes — the cache trusts its caller and does not re-derive them.
+  /// Insert or refresh. Evicts the least-recently-used entry when full
+  /// (bumps svc.cache_evictions). `canonical` must be canonical spec bytes —
+  /// the cache trusts its caller and does not re-derive them.
   /// Returns true when a new entry was created, false when an existing entry
   /// was refreshed.
   bool insert(const std::string& canonical, const ScenarioResult& result);
 
-  /// RAII pin on one cache entry. While the pin is alive the entry cannot be
-  /// evicted, cleared, or have its result object reassigned, so canonical()
-  /// and result() are stable references readable without the cache lock —
-  /// delta resolution pins its base across the warm evaluation.
+  /// A delta base: copies of one entry's canonical bytes and result, taken
+  /// under the cache lock. A plain value with no reference into the cache,
+  /// so it stays valid after the entry is evicted or the cache is cleared.
   class BasePin {
    public:
-    BasePin(BasePin&& other) noexcept : cache_(other.cache_), it_(other.it_) {
-      other.cache_ = nullptr;
-    }
-    BasePin& operator=(BasePin&& other) noexcept;
-    BasePin(const BasePin&) = delete;
-    BasePin& operator=(const BasePin&) = delete;
-    ~BasePin();
-
-    [[nodiscard]] const std::string& canonical() const { return it_->spec; }
-    [[nodiscard]] const ScenarioResult& result() const { return it_->result; }
+    [[nodiscard]] const std::string& canonical() const { return entry_.spec; }
+    [[nodiscard]] const ScenarioResult& result() const { return entry_.result; }
 
    private:
     friend class ResultCache;
-    BasePin(ResultCache* cache, std::list<Entry>::iterator it) : cache_(cache), it_(it) {}
+    explicit BasePin(Entry entry) : entry_(std::move(entry)) {}
 
-    ResultCache* cache_ = nullptr;
-    std::list<Entry>::iterator it_;
+    Entry entry_;
   };
 
-  /// Pin the entry whose canonical bytes have FNV-1a content hash `hash`,
-  /// refreshing its recency; nullopt when no cached entry carries that
-  /// address.
+  /// Snapshot the entry whose canonical bytes have FNV-1a content hash
+  /// `hash`, refreshing its recency; nullopt when no cached entry carries
+  /// that address.
   [[nodiscard]] std::optional<BasePin> pin_base(std::uint64_t hash);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Drop every unpinned entry (pinned entries survive — their readers hold
-  /// live references).
+  /// Drop every entry.
   void clear();
 
   /// Write every entry as JSONL, least-recently-used first.
@@ -118,7 +104,6 @@ class ResultCache {
 
   bool insert_locked(const std::string& canonical, const ScenarioResult& result);
   void erase_locked(std::list<Entry>::iterator it);
-  void unpin(std::list<Entry>::iterator it);
 };
 
 }  // namespace closfair::svc

@@ -38,25 +38,6 @@ std::string hash_hex(std::uint64_t hash) {
   return std::string{buf};
 }
 
-/// Warm-start inputs threaded into evaluate_clos by evaluate_scenario_warm.
-/// Every reuse is certified (macro: projection equality; rates: Lemma 2.2 on
-/// the patched instance), so hints can only change wall-clock, never bytes.
-struct WarmHints {
-  const ScenarioResult* base = nullptr;  ///< seed for the final allocation
-  bool reuse_macro = false;              ///< replay base->macro_rates verbatim
-};
-
-/// The topology+workload projection of a spec. Equal projections generate
-/// the same flow collection and therefore the same macro-switch reference —
-/// the exact LP and water-fill agree on it, so the projection ignores
-/// routing, objective, and fault.
-std::string macro_projection(const ScenarioSpec& spec) {
-  ScenarioSpec stripped;
-  stripped.topology = spec.topology;
-  stripped.workload = spec.workload;
-  return stripped.canonical();
-}
-
 /// Generate the coordinate-level collection (and declared target rates, for
 /// inline instances). Generator draws consume `rng`; a subsequent seedless
 /// seeded policy continues the same stream — the sweep-bench convention.
@@ -152,12 +133,10 @@ ScenarioResult evaluate_fattree(const ScenarioSpec& spec) {
   return result;
 }
 
-ScenarioResult evaluate_clos(const ScenarioSpec& spec, const WarmHints& hints = {}) {
+ScenarioResult evaluate_clos(const ScenarioSpec& spec) {
   const Fabric fabric{spec.topology.params.num_tors, spec.topology.params.servers_per_tor};
   Rng rng(spec.workload.seed);
   std::vector<std::optional<Rational>> targets;
-  // Always generated, even under a warm start: seedless seeded policies
-  // continue this Rng stream, and the flow collection itself is needed.
   const FlowCollection specs = make_workload(spec.workload, fabric, rng, targets);
 
   // The macro reference is always the *pristine* macro-switch: degraded-vs-
@@ -165,18 +144,11 @@ ScenarioResult evaluate_clos(const ScenarioSpec& spec, const WarmHints& hints = 
   const MacroSwitch ms(MacroSwitch::Params{spec.topology.params.num_tors,
                                            spec.topology.params.servers_per_tor,
                                            spec.topology.params.link_capacity});
-  const auto cold_macro = [&]() {
-    const FlowSet ms_flows = instantiate(ms, specs);
-    return spec.objective == "maxmin_lp" && spec.routing.policy == "none"
-               ? max_min_fair_lp<Rational>(ms.topology(), ms_flows,
-                                           macro_routing(ms, ms_flows))
-               : max_min_fair<Rational>(ms, ms_flows);
-  };
-  // Replaying the base macro is exact: the projection matched, so the base
-  // was computed over this very flow collection (LP and water-fill agree on
-  // the unique allocation, so the base's objective does not matter).
-  const auto macro = hints.reuse_macro ? Allocation<Rational>(hints.base->macro_rates)
-                                       : cold_macro();
+  const FlowSet ms_flows = instantiate(ms, specs);
+  const auto macro = spec.objective == "maxmin_lp" && spec.routing.policy == "none"
+                         ? max_min_fair_lp<Rational>(ms.topology(), ms_flows,
+                                                     macro_routing(ms, ms_flows))
+                         : max_min_fair<Rational>(ms, ms_flows);
 
   ScenarioResult result;
   result.num_flows = specs.size();
@@ -290,20 +262,10 @@ ScenarioResult evaluate_clos(const ScenarioSpec& spec, const WarmHints& hints = 
     fail("policy '" + policy + "' is not evaluable on a Clos topology");
   }
 
-  // Seed the final allocation with the base result's rates when available:
-  // the bottleneck certifier accepts them only if they are max-min fair on
-  // the *patched* routing, and the max-min allocation is unique, so an
-  // accepted seed is the cold answer verbatim.
-  const bool seedable = hints.base != nullptr && hints.base->routed;
   const Routing routing_paths = expand_routing(net, flows, middles);
-  const auto alloc =
-      spec.objective == "maxmin_lp"
-          ? (seedable ? max_min_fair_lp_seeded(net.topology(), flows, routing_paths,
-                                               hints.base->rates)
-                      : max_min_fair_lp<Rational>(net.topology(), flows, routing_paths))
-          : (seedable ? max_min_fair_seeded(net.topology(), flows, routing_paths,
-                                            hints.base->rates)
-                      : max_min_fair<Rational>(net.topology(), flows, routing_paths));
+  const auto alloc = spec.objective == "maxmin_lp"
+                         ? max_min_fair_lp<Rational>(net.topology(), flows, routing_paths)
+                         : max_min_fair<Rational>(net.topology(), flows, routing_paths);
   fill_routed(result, alloc);
   result.middles = std::move(middles);
   return result;
@@ -321,25 +283,13 @@ ScenarioResult evaluate_scenario(const ScenarioSpec& spec) {
 ScenarioResult evaluate_scenario_warm(const ScenarioSpec& spec,
                                       const ScenarioSpec& base_spec,
                                       const ScenarioResult& base_result) {
-  // Objective-only switch: routing search never reads the objective and the
-  // exact LP and water-fill compute the same unique allocation, so the base
-  // result *is* the cold result of the patched spec.
-  {
-    ScenarioSpec probe = spec;
-    probe.objective = base_spec.objective;
-    if (probe.canonical() == base_spec.canonical()) {
-      OBS_COUNTER_INC("svc.delta_result_reuses");
-      return base_result;
-    }
+  ScenarioSpec probe = spec;
+  probe.objective = base_spec.objective;
+  if (probe.canonical() == base_spec.canonical()) {
+    OBS_COUNTER_INC("svc.delta_result_reuses");
+    return base_result;
   }
-  OBS_SPAN("svc.evaluate");
-  OBS_COUNTER_INC("svc.evaluations");
-  OBS_COUNTER_INC("svc.delta_warm_starts");
-  if (spec.topology.kind == "fattree") return evaluate_fattree(spec);
-  WarmHints hints;
-  hints.base = &base_result;
-  hints.reuse_macro = macro_projection(spec) == macro_projection(base_spec);
-  return evaluate_clos(spec, hints);
+  return evaluate_scenario(spec);
 }
 
 DeltaResolution resolve_delta(
@@ -347,14 +297,13 @@ DeltaResolution resolve_delta(
     const std::function<std::optional<std::string>(std::uint64_t)>& inflight) {
   OBS_COUNTER_INC("svc.delta_requests");
   DeltaResolution res;
-  std::optional<std::string> base_canonical;
+  std::optional<std::string> inflight_canonical;
   res.base = cache.pin_base(delta.base);
-  if (res.base.has_value()) {
-    base_canonical = res.base->canonical();
-  } else if (inflight) {
-    base_canonical = inflight(delta.base);
-  }
-  if (!base_canonical.has_value()) {
+  if (!res.base.has_value() && inflight) inflight_canonical = inflight(delta.base);
+  const std::string* base_canonical = res.base.has_value() ? &res.base->canonical()
+                                      : inflight_canonical ? &*inflight_canonical
+                                                           : nullptr;
+  if (base_canonical == nullptr) {
     OBS_COUNTER_INC("svc.delta_base_misses");
     res.error = "unknown base " + hash_hex(delta.base) + ": not in the result cache";
     return res;

@@ -29,38 +29,33 @@ namespace closfair::svc {
 /// "static" start of the wrong length. Wrapped in the svc.evaluate span.
 [[nodiscard]] ScenarioResult evaluate_scenario(const ScenarioSpec& spec);
 
-/// Evaluate `spec` warm-started from a base scenario and its result.
-/// Byte-identity with evaluate_scenario(spec) is structural, not asserted:
-/// when only the objective changed, the base result is returned wholesale
-/// (routing search is objective-independent and the exact LP and water-fill
-/// compute the same unique allocation — svc.delta_result_reuses); otherwise
-/// the base's macro reference is replayed when topology+workload are
-/// untouched, and the base rates seed the final allocation, accepted only
-/// when the Lemma 2.2 bottleneck certifier confirms them on the *patched*
-/// instance (waterfill.seed_hits / lp.seed_hits) and recomputed cold
-/// otherwise. Bumps svc.delta_warm_starts when it actually evaluates.
+/// Evaluate a delta's patched `spec` given its base. When the two differ
+/// only in `objective`, the base result *is* the cold result — routing
+/// search never reads the objective, and the exact LP and water-fill compute
+/// the same unique max-min allocation — so it is returned as is
+/// (svc.delta_result_reuses). Otherwise this is evaluate_scenario(spec).
 [[nodiscard]] ScenarioResult evaluate_scenario_warm(const ScenarioSpec& spec,
                                                     const ScenarioSpec& base_spec,
                                                     const ScenarioResult& base_result);
 
 /// Outcome of resolving a DeltaRequest: the patched spec, plus — when the
-/// base was found in the cache — a pinned handle on the base entry and the
-/// parsed base spec for warm-starting. A non-empty `error` means resolution
-/// failed (unknown base address, or a patch that does not apply).
+/// base was found in the cache — a snapshot of the base entry and the parsed
+/// base spec, for evaluate_scenario_warm. A non-empty `error` means
+/// resolution failed (unknown base address, or a patch that does not apply).
 struct DeltaResolution {
   ScenarioSpec spec;
-  std::optional<ResultCache::BasePin> base;  ///< pin held across the warm evaluation
-  std::optional<ScenarioSpec> base_spec;     ///< set iff `base` is
+  std::optional<ResultCache::BasePin> base;
+  std::optional<ScenarioSpec> base_spec;  ///< set iff `base` is
   std::string error;
 
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-/// Resolve a delta request against `cache` (svc.delta_requests): pin the
-/// base entry by content hash and apply the patch to its canonical spec.
+/// Resolve a delta request against `cache` (svc.delta_requests): snapshot
+/// the base entry by content hash and apply the patch to its canonical spec.
 /// When the cache has no such entry, `inflight` (if provided) may map the
 /// hash to the canonical bytes of a base currently being evaluated — the
-/// patch then still resolves, only without a warm result (the wire pipeline
+/// patch then still resolves, only without a base result (the wire pipeline
 /// uses this so a delta racing its own base on one connection never
 /// spuriously misses). Bumps svc.delta_base_misses / svc.delta_patch_errors
 /// on the two failure modes.

@@ -42,9 +42,9 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
 
   // Delta resolution runs under the pipeline lock, in arrival order — the
   // pending set IS this connection's in-flight view, so a delta pipelined
-  // behind its own base always finds it: either committed (pinned, warm) or
-  // still pending (cold evaluation of the patched spec; byte-identical).
-  std::shared_ptr<WarmStart> warm;
+  // behind its own base always finds it: either committed (snapshotted) or
+  // still pending (the patched spec evaluates without a base; byte-identical).
+  svc::DeltaResolution res;
   if (request.is_delta()) {
     const auto inflight_base = [this](std::uint64_t want) -> std::optional<std::string> {
       for (const auto& [pending_canonical, seq] : pending_) {
@@ -53,15 +53,11 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
       }
       return std::nullopt;
     };
-    svc::DeltaResolution res = svc::resolve_delta(cache_, *request.delta, inflight_base);
+    res = svc::resolve_delta(cache_, *request.delta, inflight_base);
     if (res.ok()) {
       canonical = res.spec.canonical();
       hash = svc::fnv1a64(canonical);
       request.spec = std::move(res.spec);
-      if (res.base.has_value()) {
-        warm = std::make_shared<WarmStart>(
-            WarmStart{std::move(*res.base), std::move(*res.base_spec)});
-      }
     } else {
       // Resolution failed before a patched spec existed: answer like a
       // parse error (no hash), exactly as the batch binary does.
@@ -110,7 +106,8 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
     ++inflight_;
     admission.evaluate = true;
     admission.spec = std::move(*request.spec);
-    admission.warm = std::move(warm);
+    admission.base = std::move(res.base);
+    admission.base_spec = std::move(res.base_spec);
   }
   slot.trace.mark(obs::rt::Stage::kAdmit);
 

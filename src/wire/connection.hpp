@@ -27,7 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <optional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -41,15 +41,6 @@
 #include "util/json.hpp"
 
 namespace closfair::wire {
-
-/// Warm-start context for an admitted delta request: the pinned base cache
-/// entry (stable references for the worker, exempt from eviction while the
-/// pin lives) plus the parsed base spec. Carried by shared_ptr so the
-/// Admission/Job copies share one pin.
-struct WarmStart {
-  svc::ResultCache::BasePin pin;
-  svc::ScenarioSpec base_spec;
-};
 
 struct PipelineLimits {
   /// Evaluations admitted but not yet completed before admit() sheds with an
@@ -70,7 +61,10 @@ class Pipeline {
     std::uint64_t seq = 0;
     bool evaluate = false;    ///< caller must evaluate `spec`, then complete(seq)
     svc::ScenarioSpec spec;   ///< valid only when `evaluate`
-    std::shared_ptr<WarmStart> warm;  ///< delta base for evaluate_scenario_warm (may be null)
+    /// Delta base for evaluate_scenario_warm: set only for a delta whose
+    /// base came from the cache.
+    std::optional<svc::ResultCache::BasePin> base;
+    std::optional<svc::ScenarioSpec> base_spec;
   };
 
   /// Admit the next request line, in arrival order. `shed` additionally
@@ -81,12 +75,12 @@ class Pipeline {
   /// stamp on entry).
   ///
   /// Delta request lines ({"base","patch"}) resolve here, in arrival order:
-  /// the base is pinned from the shared cache, or — when it is still in
+  /// the base is snapshotted from the shared cache, or — when it is still in
   /// flight *on this connection* — its canonical bytes are read from the
-  /// pending set (the patch then applies but evaluation runs cold; warm and
-  /// cold are byte-identical, so the response stream cannot tell the
-  /// difference). The patched spec then walks the same dedup → cache →
-  /// budget ladder as a direct spec, so delta traffic never perturbs
+  /// pending set (the patch then applies, without a base result to reuse;
+  /// reuse and evaluation are byte-identical, so the response stream cannot
+  /// tell the difference). The patched spec then walks the same dedup →
+  /// cache → budget ladder as a direct spec, so delta traffic never perturbs
   /// data-plane byte identity. Resolution failures (unknown base, patch
   /// does not apply) respond like parse errors: no hash existed to report.
   [[nodiscard]] Admission admit(std::string_view line, bool shed = false,

@@ -193,8 +193,7 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
         Pipeline::Admission admission =
             conn->pipeline.admit(*frame, shed, recv_ns);
         if (admission.evaluate) {
-          enqueue(Job{conn, admission.seq, std::move(admission.spec),
-                      std::move(admission.warm)});
+          enqueue(Job{conn, std::move(admission)});
         }
         conn->wake();  // non-evaluate admissions are ready immediately
       }
@@ -288,25 +287,23 @@ void Server::worker_loop() {
       queue_.pop_front();
     }
     obs::rt::WorkerStamps stamps = obs::rt::begin_work();
+    if (options_.before_evaluate) options_.before_evaluate();
     svc::ScenarioResult result;
     std::string error;
     try {
-      // Delta jobs carry their pinned base: warm evaluation is byte-identical
-      // to cold by construction, so the response stream cannot tell.
-      result = job.warm != nullptr
-                   ? svc::evaluate_scenario_warm(job.spec, job.warm->base_spec,
-                                                 job.warm->pin.result())
-                   : svc::evaluate_scenario(job.spec);
+      const Pipeline::Admission& a = job.admission;
+      result = a.base.has_value()
+                   ? svc::evaluate_scenario_warm(a.spec, *a.base_spec, a.base->result())
+                   : svc::evaluate_scenario(a.spec);
     } catch (const std::exception& e) {
       OBS_COUNTER_INC("svc.errors");
       error = e.what();
     }
-    job.warm.reset();  // release the base pin as soon as the result exists
     obs::rt::end_work(stamps);
     OBS_COUNTER_INC("wire.evaluations");
     const std::size_t depth = queue_depth_.fetch_sub(1, std::memory_order_relaxed) - 1;
     OBS_GAUGE_SET("wire.eval_queue_depth", depth);
-    job.conn->pipeline.complete(job.seq, std::move(result), std::move(error),
+    job.conn->pipeline.complete(job.admission.seq, std::move(result), std::move(error),
                                 stamps);
     job.conn->wake();
   }

@@ -25,6 +25,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,6 +45,9 @@ struct ServerOptions {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   std::size_t max_inflight_per_conn = 64;   ///< per-connection admission budget
   std::size_t queue_high_watermark = 256;   ///< global pending-eval shed threshold
+  /// Test hook: runs on a worker after it dequeues a job and before it
+  /// evaluates, so a test can hold a worker and build a queue on purpose.
+  std::function<void()> before_evaluate;
 };
 
 class Server {
@@ -84,9 +88,7 @@ class Server {
   struct Connection;
   struct Job {
     std::shared_ptr<Connection> conn;
-    std::uint64_t seq = 0;
-    svc::ScenarioSpec spec;
-    std::shared_ptr<WarmStart> warm;  ///< delta base context (null for direct specs)
+    Pipeline::Admission admission;  ///< evaluate == true
   };
 
   void accept_loop();

@@ -4,6 +4,7 @@
 
 #include "core/adversarial.hpp"
 #include "fairness/waterfill.hpp"
+#include "fault/fault.hpp"
 #include "flow/allocation.hpp"
 #include "util/rng.hpp"
 #include "workload/stochastic.hpp"
@@ -131,6 +132,78 @@ TEST(Replication, SymmetryBreakingPreservesAnswer) {
     const auto b = find_feasible_routing(net, flows, rates, without_sym);
     EXPECT_EQ(a.feasible, b.feasible);
   }
+}
+
+/// A random C_2 / C_3 instance with 2-7 flows at rates k/n; four in five
+/// get one failed middle or one uplink / downlink derated to 0 or 1/2.
+struct DegradedCase {
+  ClosNetwork net;
+  FlowSet flows;
+  std::vector<Rational> rates;
+  bool degraded = false;
+};
+
+DegradedCase random_degraded_case(Rng& rng) {
+  const int n = static_cast<int>(rng.next_int(2, 3));
+  DegradedCase c{ClosNetwork::paper(n), {}, {}, false};
+  fault::FailureScenario scenario;
+  switch (rng.next_below(5)) {
+    case 0:
+      break;
+    case 1:
+      scenario.failed_middles = {static_cast<int>(rng.next_int(1, n))};
+      break;
+    default: {
+      fault::LinkDeration link;
+      link.stage = rng.next_below(2) == 0 ? fault::LinkStage::kUplink
+                                          : fault::LinkStage::kDownlink;
+      link.tor = static_cast<int>(rng.next_int(1, c.net.num_tors()));
+      link.middle = static_cast<int>(rng.next_int(1, n));
+      link.factor = rng.next_below(2) == 0 ? Rational{0} : Rational{1, 2};
+      scenario.derated_links = {link};
+      break;
+    }
+  }
+  c.degraded = !scenario.empty();
+  fault::apply(c.net, scenario);
+  const auto tors = c.net.num_tors();
+  const auto servers = c.net.servers_per_tor();
+  FlowCollection specs;
+  const std::int64_t count = rng.next_int(2, 7);
+  for (std::int64_t f = 0; f < count; ++f) {
+    specs.push_back(FlowSpec{static_cast<int>(rng.next_int(1, tors)),
+                             static_cast<int>(rng.next_int(1, servers)),
+                             static_cast<int>(rng.next_int(1, tors)),
+                             static_cast<int>(rng.next_int(1, servers))});
+    c.rates.emplace_back(rng.next_int(1, n), n);
+  }
+  c.flows = instantiate(c.net, specs);
+  return c;
+}
+
+TEST(Replication, SymmetryBreakingMatchesPlainSearchOnDegradedFabrics) {
+  Rng rng(2024);
+  int divergences = 0;
+  int degraded_feasible = 0;
+  for (int trial = 0; trial < 10'000; ++trial) {
+    const DegradedCase c = random_degraded_case(rng);
+    ReplicationOptions plain;
+    plain.break_symmetry = false;
+    const auto canon = find_feasible_routing(c.net, c.flows, c.rates);
+    const auto full = find_feasible_routing(c.net, c.flows, c.rates, plain);
+    if (canon.feasible != full.feasible) {
+      ++divergences;
+      continue;
+    }
+    if (!canon.feasible) continue;
+    degraded_feasible += c.degraded ? 1 : 0;
+    const Routing routing = expand_routing(c.net, c.flows, *canon.routing);
+    EXPECT_TRUE(is_feasible(c.net.topology(), routing, Allocation<Rational>(c.rates)))
+        << "trial " << trial;
+  }
+  EXPECT_EQ(divergences, 0);
+  // The generator must actually reach routable degraded instances.
+  EXPECT_GT(degraded_feasible, 1000);
 }
 
 // Water-fill rates for a routing are replicable by construction (that very

@@ -362,28 +362,28 @@ TEST(SvcCache, InsertReportsWhetherTheEntryIsNew) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(SvcCache, PinnedBasesAreExemptFromEviction) {
+TEST(SvcCache, PinBaseSnapshotOutlivesEvictionAndClear) {
   svc::ResultCache cache(2);
   const std::string a = seeded_spec_canonical(1);
   cache.insert(a, tiny_result(1));
-  auto pin = cache.pin_base(svc::fnv1a64(a));
+  const auto pin = cache.pin_base(svc::fnv1a64(a));
   ASSERT_TRUE(pin.has_value());
+
+  // Two more inserts evict `a` under plain LRU; the snapshot is a copy.
+  cache.insert(seeded_spec_canonical(2), tiny_result(2));
+  cache.insert(seeded_spec_canonical(3), tiny_result(3));
+  EXPECT_FALSE(cache.lookup(a).has_value());
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(pin->canonical(), a);
   EXPECT_EQ(pin->result().num_flows, 1u);
 
-  // Two more inserts would evict `a` under plain LRU; the pin protects it.
-  cache.insert(seeded_spec_canonical(2), tiny_result(2));
-  cache.insert(seeded_spec_canonical(3), tiny_result(3));
-  EXPECT_TRUE(cache.lookup(a).has_value());
-
-  // clear() also respects the pin, then the unpinned entry goes on the next
-  // eviction pressure after release.
+  cache.insert(a, tiny_result(1));
+  const auto again = cache.pin_base(svc::fnv1a64(a));
   cache.clear();
-  EXPECT_TRUE(cache.lookup(a).has_value());
-  pin.reset();
-  cache.insert(seeded_spec_canonical(4), tiny_result(4));
-  cache.insert(seeded_spec_canonical(5), tiny_result(5));
-  EXPECT_FALSE(cache.lookup(a).has_value());
+  EXPECT_EQ(cache.size(), 0u);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->canonical(), a);
+  EXPECT_EQ(again->result().num_flows, 1u);
 }
 
 TEST(SvcCache, PinBaseMissesUnknownHashes) {
@@ -544,14 +544,42 @@ TEST(SvcDelta, WarmEvaluationMatchesColdBytesForEveryClass) {
        R"({"derate_links":[{"stage":"uplink","tor":1,"middle":2,"factor":"1/2"}]})"},
       {"objective_switch", clos_base, R"({"objective":"maxmin_lp"})"},
   };
+  const auto counter = [](const char* name) -> std::uint64_t {
+    for (const auto& c : obs::Registry::instance().snapshot().counters) {
+      if (c.name == name) return c.value;
+    }
+    return 0;
+  };
   for (const auto& tc : cases) {
     const svc::ScenarioSpec patched = parse_patch(tc.patch).apply(tc.base);
     const svc::ScenarioResult base_result = svc::evaluate_scenario(tc.base);
+    const std::uint64_t reuses = counter("svc.delta_result_reuses");
+    const std::uint64_t evaluations = counter("svc.evaluations");
     const svc::ScenarioResult warm =
         svc::evaluate_scenario_warm(patched, tc.base, base_result);
+    const std::uint64_t reused = counter("svc.delta_result_reuses") - reuses;
+    const std::uint64_t evaluated = counter("svc.evaluations") - evaluations;
     const svc::ScenarioResult cold = svc::evaluate_scenario(patched);
     EXPECT_EQ(warm.to_json().dump(), cold.to_json().dump()) << tc.name;
+    if (obs::kEnabled) {
+      // Only the objective switch reuses its base; every other class is a
+      // plain evaluation of the patched spec.
+      const bool objective_only = std::string(tc.name) == "objective_switch";
+      EXPECT_EQ(reused, objective_only ? 1u : 0u) << tc.name;
+      EXPECT_EQ(evaluated, objective_only ? 0u : 1u) << tc.name;
+    }
   }
+}
+
+TEST(SvcService, ReplicateRoutesAroundAFailedFirstMiddle) {
+  // Middle 1 is dead; middle 2 carries the flow at rate 1.
+  const svc::ScenarioResult result = svc::evaluate_scenario(parse_spec(
+      R"({"workload":{"instance":"clos n=2\nflow 1 1 -> 1 1 @1\n"},
+          "routing":{"policy":"replicate"},"objective":"maxmin",
+          "fault":{"failed_middles":[1]}})"));
+  ASSERT_TRUE(result.replication.has_value());
+  EXPECT_TRUE(result.replication->feasible);
+  EXPECT_EQ(result.replication->witness, MiddleAssignment{2});
 }
 
 TEST(SvcDelta, ServiceEvaluateDeltaMatchesColdService) {
